@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet lint bench microbench serve serve-durable loadtest loadtest-shards loadtest-adaptive shard-race persist-race adaptive-race
+.PHONY: check build test race vet lint bench microbench serve serve-durable loadtest loadtest-shards loadtest-adaptive
 
 check: lint race
 
@@ -81,29 +81,3 @@ loadtest-shards:
 # hit-rate and the per-shard workload monitor/profile breakdown.
 loadtest-adaptive:
 	GOMAXPROCS=4 $(GO) run ./cmd/elsiload -sweep-cache -adaptive -n 50000 -rate 2000 -duration 4s -warmup 1s -conns 64 -zipf 1.5 -hotspots 128 -mix 60:15:10:10:5 -o BENCH_pr10.json
-
-# adaptive-race is the focused adaptivity gate: the workload monitor,
-# the result cache (model fuzz + raced oracle), the engine's cached
-# serving paths, and the rebuild-time resample loop under the race
-# detector, plus the house linters over the new packages (the noalloc
-# annotations on the monitor and cache hot paths are load-bearing).
-adaptive-race:
-	$(GO) test -race -short ./internal/monitor/ ./internal/qcache/ ./internal/engine/ ./internal/rebuild/
-	$(GO) vet ./internal/monitor/ ./internal/qcache/
-	$(GO) run ./cmd/elsivet ./internal/monitor/ ./internal/qcache/ ./internal/engine/
-
-# shard-race is the focused sharding gate: the sharded-vs-unsharded
-# equivalence suite and the sharded server e2e under the race
-# detector, plus the house linters over the router.
-shard-race:
-	$(GO) test -race -short ./internal/shard/ ./internal/server/ ./internal/engine/
-	$(GO) vet ./internal/shard/
-	$(GO) run ./cmd/elsivet ./internal/shard/
-
-# persist-race is the durability gate: the WAL, snapshot, and
-# crash-recovery suites (every registered crash point × shard counts,
-# byte-identical recovery, zero trainings) under the race detector.
-persist-race:
-	$(GO) test -race -short ./internal/wal/ ./internal/snapshot/ ./internal/persist/
-	$(GO) vet ./internal/wal/ ./internal/snapshot/ ./internal/persist/
-	$(GO) run ./cmd/elsivet ./internal/wal/ ./internal/snapshot/ ./internal/persist/

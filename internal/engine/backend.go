@@ -157,9 +157,9 @@ func AggregateShards(shards []ShardStats) BackendStats {
 
 // opCounters tracks the per-shard traffic a backend routed somewhere.
 type opCounters struct {
-	points, windows, knns   atomic.Int64
-	inserts, deletes        atomic.Int64
-	windowSkips, knnsSkips  atomic.Int64
+	points, windows, knns  atomic.Int64
+	inserts, deletes       atomic.Int64
+	windowSkips, knnsSkips atomic.Int64
 }
 
 //elsi:noalloc
@@ -174,7 +174,7 @@ func (c *opCounters) fill(st *ShardStats) {
 }
 
 // Single is the unsharded backend: one rebuild.Processor served
-// through a qserve batch engine. New wires it by default.
+// through a qserve batch engine.
 type Single struct {
 	proc *rebuild.Processor
 	qe   *qserve.Engine

@@ -28,7 +28,7 @@ func cachedEngine(t *testing.T, n int, seed int64, cfg Config) (*Engine, *rebuil
 	if cfg.Cache == nil {
 		cfg.Cache = &qcache.Config{}
 	}
-	return New(proc, nil, cfg), proc
+	return NewWithBackend(NewSingle(proc, 0), nil, cfg), proc
 }
 
 // TestCachedEquivalenceRaced checks the acceptance bar for the result
@@ -276,7 +276,7 @@ func TestCachedPointQueryZeroAllocs(t *testing.T) {
 // caching is off, so /stats keeps its old shape for existing scrapers.
 func TestCacheOffStatsOmitted(t *testing.T) {
 	proc := newTestProcessor(t, 100, 3)
-	e := New(proc, nil, Config{})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{})
 	defer e.Close()
 	if _, err := e.PointQuery(geo.Point{X: 0.5, Y: 0.5}); err != nil {
 		t.Fatal(err)
